@@ -60,6 +60,9 @@ struct Ctx {
   const WorkloadSpec& spec;
   const RunOptions& opt;
   const Oracle& oracle;
+  /// Oracle::allreduce_expected per allreduce round (empty for other kinds),
+  /// computed once before the run instead of re-summed by every rank.
+  const std::vector<std::vector<double>>& ar_expected;
   unrlib::Unr& unr;
   std::vector<std::vector<std::byte>>& region;
   std::vector<std::vector<std::uint64_t>>& digests;
@@ -362,7 +365,7 @@ void run_ar_ring_round(runtime::Rank& r, Ctx& c, std::size_t ri,
   }
 
   for (std::size_t j = 0; j < n; ++j) {
-    const double want = c.oracle.allreduce_expected(ri, j);
+    const double want = c.ar_expected[ri][j];
     if (acc[j] != want) {
       std::ostringstream os;
       os << "ar_ring[" << j << "] = " << acc[j] << ", oracle " << want;
@@ -458,7 +461,7 @@ void run_ar_tree_round(runtime::Rank& r, Ctx& c, std::size_t ri,
   for (std::size_t i = 0; i < nc; ++i) c.unr.put(self, res_src, child_res[i]);
 
   for (std::size_t j = 0; j < n; ++j) {
-    const double want = c.oracle.allreduce_expected(ri, j);
+    const double want = c.ar_expected[ri][j];
     if (res[j] != want) {
       std::ostringstream os;
       os << "ar_tree[" << j << "] = " << res[j] << ", oracle " << want;
@@ -940,7 +943,7 @@ void run_rank(runtime::Rank& r, Ctx& c) {
         }
         r.allreduce_sum(v.data(), v.size());
         for (std::size_t j = 0; j < v.size(); ++j) {
-          const double want = c.oracle.allreduce_expected(ri, j);
+          const double want = c.ar_expected[ri][j];
           if (v[j] != want) {
             std::ostringstream os;
             os << "allreduce[" << j << "] = " << v[j] << ", oracle " << want;
@@ -1146,6 +1149,16 @@ RunResult run_workload(const WorkloadSpec& spec, const RunOptions& opt) {
   const int P = spec.nranks();
   const std::size_t R = spec.rounds.size();
   const Oracle oracle(spec);
+  std::vector<std::vector<double>> ar_expected(R);
+  for (std::size_t ri = 0; ri < R; ++ri) {
+    const RoundSpec::Kind k = spec.rounds[ri].kind;
+    if (k != RoundSpec::Kind::kAllreduce && k != RoundSpec::Kind::kAllreduceRing &&
+        k != RoundSpec::Kind::kAllreduceTree)
+      continue;
+    ar_expected[ri].resize(spec.rounds[ri].size);
+    for (std::size_t j = 0; j < ar_expected[ri].size(); ++j)
+      ar_expected[ri][j] = oracle.allreduce_expected(ri, j);
+  }
   std::vector<std::string> violations;
   std::vector<std::vector<std::byte>> region(static_cast<std::size_t>(P));
   for (auto& v : region) v.assign(spec.region_bytes, std::byte{0});
@@ -1182,7 +1195,7 @@ RunResult run_workload(const WorkloadSpec& spec, const RunOptions& opt) {
     uc.enable_hw_offload = opt.channel == unrlib::ChannelKind::kLevel4;
     unrlib::Unr unr(w, uc);
 
-    Ctx ctx{spec, opt, oracle, unr, region, digests, violations};
+    Ctx ctx{spec, opt, oracle, ar_expected, unr, region, digests, violations};
     for (const RoundSpec& round : spec.rounds) {
       if (round.kind == RoundSpec::Kind::kWindow) {
         ctx.window_needed = true;

@@ -728,19 +728,27 @@ void Fabric::get(GetArgs args) {
   });
 }
 
+int Fabric::open_am_channel() { return am_channels_.fetch_add(1); }
+
 void Fabric::set_am_handler(int rank, int channel, AmHandler h) {
   UNR_CHECK(rank >= 0 && rank < nranks());
-  UNR_CHECK(channel >= 0);
+  UNR_CHECK_MSG(channel >= 0 && channel < am_channels_.load(),
+                "AM channel " << channel << " was never opened");
   auto& chans = am_handlers_[static_cast<std::size_t>(rank)];
   if (static_cast<std::size_t>(channel) >= chans.size())
     chans.resize(static_cast<std::size_t>(channel) + 1);
-  chans[static_cast<std::size_t>(channel)] = std::move(h);
+  auto& slot = chans[static_cast<std::size_t>(channel)];
+  UNR_CHECK_MSG(!slot, "rank " << rank << " already has a handler on AM channel "
+                               << channel);
+  slot = std::move(h);
 }
 
 void Fabric::send_am(int src_rank, int dst_rank, int channel,
                      std::vector<std::byte> payload, int nic_index, bool ordered) {
   UNR_CHECK(src_rank >= 0 && src_rank < nranks());
   UNR_CHECK(dst_rank >= 0 && dst_rank < nranks());
+  UNR_CHECK_MSG(channel >= 0 && channel < am_channels_.load(),
+                "AM channel " << channel << " was never opened");
   m_.ams.inc();
 
   AmFlight* m = acquire_am_flight();
@@ -860,8 +868,7 @@ void Fabric::deliver_am(AmFlight* m) {
 
 void Fabric::deliver_am_payload(AmFlight* m) {
   const auto& chans = am_handlers_[static_cast<std::size_t>(m->dst_rank)];
-  const bool have = m->channel >= 0 &&
-                    static_cast<std::size_t>(m->channel) < chans.size() &&
+  const bool have = static_cast<std::size_t>(m->channel) < chans.size() &&
                     static_cast<bool>(chans[static_cast<std::size_t>(m->channel)]);
   UNR_CHECK_MSG(have, "no AM handler for rank " << m->dst_rank << " channel "
                                                 << m->channel);

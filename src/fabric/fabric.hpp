@@ -11,6 +11,7 @@
 //   * an optional hardware addend offload (the paper's proposed level 4).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -160,8 +161,15 @@ class Fabric {
   // --- Active messages (small control traffic for the runtime layer) ---
   using AmHandler =
       std::function<void(int src_rank, const std::vector<std::byte>& payload)>;
-  /// One handler per (rank, channel); channel is a small caller-chosen id.
+  /// A fresh AM channel id. Ids are dense from 0 and never reused: each
+  /// protocol opens the channels it uses, so no layer knows another's ids.
+  /// Callable from any kernel shard (windows open channels mid-run).
+  int open_am_channel();
+  /// Install `rank`'s handler on an opened channel. One handler per
+  /// (rank, channel): a second one fails loudly instead of replacing the
+  /// first. During a run, only the rank's own shard may call this.
   void set_am_handler(int rank, int channel, AmHandler h);
+  /// Fails loudly on a channel that was never opened.
   void send_am(int src_rank, int dst_rank, int channel, std::vector<std::byte> payload,
                int nic_index = -1, bool ordered = false);
 
@@ -373,7 +381,10 @@ class Fabric {
     return static_cast<std::uint64_t>(kernel_.current_shard()) << 48;
   }
   std::vector<std::unique_ptr<ShardCtx>> shard_ctx_;
-  /// Dense handler table [rank][channel] (channels are small caller ids).
+  std::atomic<int> am_channels_{0};  ///< ids handed out by open_am_channel
+  /// Dense handler table [rank][channel], as wide as the opened channels.
+  /// Row r is only touched on rank r's shard: its owner installs handlers
+  /// there and deliveries to r run there.
   std::vector<std::vector<AmHandler>> am_handlers_;
 };
 

@@ -8,9 +8,6 @@ namespace unr::runtime {
 
 namespace {
 
-// AM channel ids used by the two-sided protocol. UNR channels use ids >= 16.
-enum AmChannel : int { kChanEager = 0, kChanRts = 1, kChanCts = 2 };
-
 struct EagerHeader {
   std::int32_t tag;
   std::uint64_t size;
@@ -54,7 +51,11 @@ void charge(fabric::Fabric& f, Time t) {
 
 }  // namespace
 
-Comm::Comm(fabric::Fabric& fabric) : fabric_(fabric) {
+Comm::Comm(fabric::Fabric& fabric)
+    : fabric_(fabric),
+      chan_eager_(fabric.open_am_channel()),
+      chan_rts_(fabric.open_am_channel()),
+      chan_cts_(fabric.open_am_channel()) {
   obs::Telemetry& tel = fabric_.kernel().telemetry();
   m_.eager_sends = tel.registry().counter("comm.eager_sends");
   m_.rts_sends = tel.registry().counter("comm.rts_sends");
@@ -76,13 +77,13 @@ Comm::Comm(fabric::Fabric& fabric) : fabric_(fabric) {
   coll_seq_.assign(static_cast<std::size_t>(fabric_.nranks()), 0);
   obj_seq_.assign(static_cast<std::size_t>(fabric_.nranks()), 0);
   for (int r = 0; r < fabric_.nranks(); ++r) {
-    fabric_.set_am_handler(r, kChanEager, [this, r](int src, const auto& p) {
+    fabric_.set_am_handler(r, chan_eager_, [this, r](int src, const auto& p) {
       handle_eager(r, src, p);
     });
-    fabric_.set_am_handler(r, kChanRts, [this, r](int src, const auto& p) {
+    fabric_.set_am_handler(r, chan_rts_, [this, r](int src, const auto& p) {
       handle_rts(r, src, p);
     });
-    fabric_.set_am_handler(r, kChanCts, [this, r](int src, const auto& p) {
+    fabric_.set_am_handler(r, chan_cts_, [this, r](int src, const auto& p) {
       handle_cts(r, src, p);
     });
   }
@@ -103,7 +104,7 @@ RequestPtr Comm::isend(int self, int dst, int tag, const void* data, std::size_t
           fabric_.node_of(self), self, tr_.cat, tr_.eager,
           {{tr_.k_dst, dst}, {tr_.k_size, static_cast<std::int64_t>(size)}});
     EagerHeader h{tag, size};
-    fabric_.send_am(self, dst, kChanEager, pack(fabric_, h, data, size), /*nic*/ -1,
+    fabric_.send_am(self, dst, chan_eager_, pack(fabric_, h, data, size), /*nic*/ -1,
                     /*ordered=*/true);
     return make_done_request();
   }
@@ -121,7 +122,7 @@ RequestPtr Comm::isend(int self, int dst, int tag, const void* data, std::size_t
         fabric_.node_of(self), self, tr_.cat, tr_.rdv, id,
         {{tr_.k_dst, dst}, {tr_.k_size, static_cast<std::int64_t>(size)}});
   RtsHeader h{tag, size, id};
-  fabric_.send_am(self, dst, kChanRts, pack(fabric_, h), -1, /*ordered=*/true);
+  fabric_.send_am(self, dst, chan_rts_, pack(fabric_, h), -1, /*ordered=*/true);
   return req;
 }
 
@@ -135,15 +136,18 @@ RequestPtr Comm::irecv(int self, int src, int tag, void* buf, std::size_t size) 
     if (!matches(src, tag, it->src, it->tag)) continue;
     UNR_CHECK_MSG(it->size <= size, "receive buffer too small: message of "
                                         << it->size << " bytes into " << size);
+    // Dequeue before anything that can yield: charge() switches fibers, and
+    // an arrival meanwhile may push_back onto this deque, invalidating `it`.
+    const UnexpectedMsg m = std::move(*it);
+    st.unexpected.erase(it);
     auto req = make_request();
-    if (it->rendezvous) {
-      accept_rts(self, it->src, it->rdv_id, buf, it->size, req);
+    if (m.rendezvous) {
+      accept_rts(self, m.src, m.rdv_id, buf, m.size, req);
     } else {
-      if (it->size > 0) std::memcpy(buf, it->payload.data(), it->size);
-      charge(fabric_, prof.memcpy_time(it->size));
+      if (m.size > 0) std::memcpy(buf, m.payload.data(), m.size);
+      charge(fabric_, prof.memcpy_time(m.size));
       req->done = true;
     }
-    st.unexpected.erase(it);
     return req;
   }
 
@@ -245,7 +249,7 @@ void Comm::accept_rts(int self, int src, std::uint64_t rdv_id, void* buf,
       PendingRdvRecv{self, mr, req};
   m_.cts_sends.inc();
   CtsHeader h{rdv_id, mr};
-  fabric_.send_am(self, src, kChanCts, pack(fabric_, h));
+  fabric_.send_am(self, src, chan_cts_, pack(fabric_, h));
 }
 
 void Comm::handle_cts(int dst, int src, const std::vector<std::byte>& payload) {

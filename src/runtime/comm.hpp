@@ -119,6 +119,7 @@ class Comm {
                   const RequestPtr& req);
 
   fabric::Fabric& fabric_;
+  const int chan_eager_, chan_rts_, chan_cts_;  ///< AM channels of the protocol
   /// Protocol counters (registry handles resolved once at construction).
   struct Metrics {
     obs::Counter eager_sends, rts_sends, cts_sends, unexpected_msgs;

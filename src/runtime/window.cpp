@@ -9,10 +9,6 @@ namespace unr::runtime {
 
 namespace {
 
-// AM channel for the passive-target lock manager: one per window instance,
-// starting above the point-to-point protocol channels.
-constexpr int kWinAmBase = 8;
-
 enum LockMsg : std::uint8_t { kLockReq = 1, kLockGrant = 2, kUnlockMsg = 3 };
 
 // PSCW control tags (see collectives.cpp for the internal tag layout; the
@@ -22,7 +18,10 @@ int pscw_complete_tag(int win_index) { return kInternalTagBase | (win_index << 4
 
 }  // namespace
 
-Window::Window(Comm& comm) : comm_(comm) {
+Window::Window(Comm& comm)
+    : comm_(comm),
+      lock_chan_(comm.fabric().open_am_channel()),
+      grant_chan_(comm.fabric().open_am_channel()) {
   const auto n = static_cast<std::size_t>(comm.nranks());
   mrs_.assign(n, fabric::kInvalidMr);
   sizes_.assign(n, 0);
@@ -55,19 +54,17 @@ std::shared_ptr<Window> Window::create(Comm& comm, int self, void* base,
       comm.fabric().memory().register_region(self, base, size == 0 ? 1 : size);
   win->sizes_[static_cast<std::size_t>(self)] = size;
 
-  // The window's lock manager listens on a dedicated AM channel.
-  const int chan = kWinAmBase + static_cast<int>(index);
+  // The window's lock manager listens on its own AM channel.
   Window* raw = win.get();
-  comm.fabric().set_am_handler(self, chan, [raw, self](int src, const auto& payload) {
-    UNR_CHECK(payload.size() == 1);
+  comm.fabric().set_am_handler(self, raw->lock_chan_, [raw, self](int src, const auto& p) {
+    UNR_CHECK(p.size() == 1);
     auto& st = raw->state_[static_cast<std::size_t>(self)];
-    switch (static_cast<LockMsg>(std::to_integer<std::uint8_t>(payload[0]))) {
+    switch (static_cast<LockMsg>(std::to_integer<std::uint8_t>(p[0]))) {
       case kLockReq:
         if (!st.locked) {
           st.locked = true;
           st.lock_holder = src;
-          raw->comm_.fabric().send_am(self, src,
-                                      kWinAmBase + raw->pscw_tag_base_ + (1 << 20),
+          raw->comm_.fabric().send_am(self, src, raw->grant_chan_,
                                       {std::byte{kLockGrant}});
         } else {
           st.lock_waiters.push_back(src);
@@ -87,8 +84,7 @@ std::shared_ptr<Window> Window::create(Comm& comm, int self, void* base,
   // Grants arrive on a separate channel so that a rank acting as both origin
   // and target never confuses the two roles.
   comm.fabric().set_am_handler(
-      self, kWinAmBase + static_cast<int>(index) + (1 << 20),
-      [raw, self](int /*src*/, const auto& payload) {
+      self, raw->grant_chan_, [raw, self](int /*src*/, const auto& payload) {
         UNR_CHECK(payload.size() == 1 &&
                   std::to_integer<std::uint8_t>(payload[0]) == kLockGrant);
         auto& st = raw->state_[static_cast<std::size_t>(self)];
@@ -107,8 +103,7 @@ void Window::grant_next_locked(int target) {
   st.lock_waiters.pop_front();
   st.locked = true;
   st.lock_holder = next;
-  comm_.fabric().send_am(target, next, kWinAmBase + pscw_tag_base_ + (1 << 20),
-                         {std::byte{kLockGrant}});
+  comm_.fabric().send_am(target, next, grant_chan_, {std::byte{kLockGrant}});
 }
 
 void Window::bump_arrived(int target) {
@@ -227,8 +222,7 @@ void Window::wait(int self) {
 
 void Window::lock(int self, int target) {
   auto& st = state_[static_cast<std::size_t>(self)];
-  comm_.fabric().send_am(self, target, kWinAmBase + pscw_tag_base_,
-                         {std::byte{kLockReq}});
+  comm_.fabric().send_am(self, target, lock_chan_, {std::byte{kLockReq}});
   st.lock_cond.wait([&] { return st.lock_granted; });
   st.lock_granted = false;
 }
@@ -237,8 +231,7 @@ void Window::unlock(int self, int target) {
   // Our fabric's local completion implies remote placement, so a local
   // flush gives passive-target completion semantics.
   flush(self);
-  comm_.fabric().send_am(self, target, kWinAmBase + pscw_tag_base_,
-                         {std::byte{kUnlockMsg}});
+  comm_.fabric().send_am(self, target, lock_chan_, {std::byte{kUnlockMsg}});
 }
 
 }  // namespace unr::runtime

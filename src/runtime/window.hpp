@@ -83,6 +83,8 @@ class Window {
   void grant_next_locked(int target);
 
   Comm& comm_;
+  /// Lock manager AM channels, opened by the first rank to create the window.
+  const int lock_chan_, grant_chan_;
   std::vector<fabric::MrId> mrs_;
   std::vector<std::size_t> sizes_;
   std::vector<RankState> state_;

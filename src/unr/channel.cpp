@@ -29,11 +29,12 @@ struct CompanionMsg {
 };
 }  // namespace
 
-void Channel::register_companion_handler() {
+void Channel::open_companion_channel() {
   fabric::Fabric& f = ctx_.fabric();
+  companion_chan_ = f.open_am_channel();
   for (int r = 0; r < f.nranks(); ++r) {
     const int node = f.node_of(r);
-    f.set_am_handler(r, kAmCompanion, [this, node](int /*src*/, const auto& payload) {
+    f.set_am_handler(r, companion_chan_, [this, node](int /*src*/, const auto& payload) {
       UNR_CHECK(payload.size() == sizeof(CompanionMsg));
       CompanionMsg m;
       std::memcpy(&m, payload.data(), sizeof m);
@@ -52,7 +53,7 @@ void Channel::send_companion(int src_rank, int dst_rank, SigId idx, std::int64_t
   std::vector<std::byte> payload(sizeof m);
   std::memcpy(payload.data(), &m, sizeof m);
   ctx_.metrics().companions.inc();
-  ctx_.fabric().send_am(src_rank, dst_rank, kAmCompanion, std::move(payload), nic,
+  ctx_.fabric().send_am(src_rank, dst_rank, companion_chan_, std::move(payload), nic,
                         ordered);
 }
 

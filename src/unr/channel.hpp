@@ -67,24 +67,21 @@ class Channel {
   virtual void process_cqe(int node, const fabric::Cqe& cqe);
 
  protected:
-  /// Register the companion-notification AM handler on every rank. Used when
-  /// (p, a) cannot travel in the custom bits: level 0, level-1 overflow, and
-  /// GET-remote notification on interfaces with 0 GET bits (Verbs).
-  void register_companion_handler();
+  /// Open the companion-notification AM channel and install its handler on
+  /// every rank. Used when (p, a) cannot travel in the custom bits: level 0,
+  /// level-1 overflow, and GET-remote notification on interfaces with 0 GET
+  /// bits (Verbs).
+  void open_companion_channel();
   /// Send a companion notification to `dst_rank`'s node. `ordered` keeps it
   /// behind the data it notifies for (FIFO per rank pair).
   void send_companion(int src_rank, int dst_rank, SigId idx, std::int64_t code,
                       bool ordered, int nic = -1);
 
   Unr& ctx_;
-};
 
-/// AM channel ids used by the UNR transport layer (the runtime's two-sided
-/// protocol owns 0..7, windows own 8+; UNR starts at 17).
-inline constexpr int kAmCompanion = 17;
-inline constexpr int kAmFallbackPut = 18;
-inline constexpr int kAmFallbackGetReq = 19;
-inline constexpr int kAmFallbackGetRep = 20;
+ private:
+  int companion_chan_ = -1;
+};
 
 std::unique_ptr<Channel> make_channel(ChannelKind kind, Unr& ctx);
 

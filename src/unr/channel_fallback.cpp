@@ -40,18 +40,22 @@ struct FallbackGetRepHeader {
 
 class FallbackChannel final : public Channel {
  public:
-  explicit FallbackChannel(Unr& ctx) : Channel(ctx) {
+  explicit FallbackChannel(Unr& ctx)
+      : Channel(ctx),
+        put_chan_(ctx.fabric().open_am_channel()),
+        get_req_chan_(ctx.fabric().open_am_channel()),
+        get_rep_chan_(ctx.fabric().open_am_channel()) {
     fabric::Fabric& f = ctx_.fabric();
     pending_gets_.resize(static_cast<std::size_t>(f.nranks()));
     token_seq_.assign(static_cast<std::size_t>(f.nranks()), 0);
     for (int r = 0; r < f.nranks(); ++r) {
-      f.set_am_handler(r, kAmFallbackPut, [this, r](int src, const auto& p) {
+      f.set_am_handler(r, put_chan_, [this, r](int src, const auto& p) {
         on_put_msg(r, src, p);
       });
-      f.set_am_handler(r, kAmFallbackGetReq, [this, r](int src, const auto& p) {
+      f.set_am_handler(r, get_req_chan_, [this, r](int src, const auto& p) {
         on_get_req(r, src, p);
       });
-      f.set_am_handler(r, kAmFallbackGetRep, [this, r](int src, const auto& p) {
+      f.set_am_handler(r, get_rep_chan_, [this, r](int src, const auto& p) {
         on_get_rep(r, src, p);
       });
     }
@@ -73,7 +77,7 @@ class FallbackChannel final : public Channel {
     std::vector<std::byte> msg(sizeof h + op.size);
     std::memcpy(msg.data(), &h, sizeof h);
     if (op.size > 0) std::memcpy(msg.data() + sizeof h, op.local, op.size);
-    ctx_.fabric().send_am(op.src_rank, op.remote.rank, kAmFallbackPut, std::move(msg),
+    ctx_.fabric().send_am(op.src_rank, op.remote.rank, put_chan_, std::move(msg),
                           op.nic, /*ordered=*/true);
 
     // Buffered-send semantics: the local buffer is reusable immediately.
@@ -95,7 +99,7 @@ class FallbackChannel final : public Channel {
                       op.rsig == kNoSig ? kNoSig : op.rsig, op.r_code, token};
     std::vector<std::byte> msg(sizeof rq);
     std::memcpy(msg.data(), &rq, sizeof rq);
-    ctx_.fabric().send_am(op.src_rank, op.remote.rank, kAmFallbackGetReq,
+    ctx_.fabric().send_am(op.src_rank, op.remote.rank, get_req_chan_,
                           std::move(msg), op.nic);
   }
 
@@ -146,7 +150,7 @@ class FallbackChannel final : public Channel {
           {self, rq.mr, static_cast<std::size_t>(rq.offset)}, rq.size);
       std::memcpy(msg.data() + sizeof rh, p, rq.size);
     }
-    ctx_.fabric().send_am(self, src, kAmFallbackGetRep, std::move(msg));
+    ctx_.fabric().send_am(self, src, get_rep_chan_, std::move(msg));
 
     if (rq.rsig != kNoSig) {
       const int node = ctx_.node_of(self);
@@ -180,6 +184,7 @@ class FallbackChannel final : public Channel {
     });
   }
 
+  const int put_chan_, get_req_chan_, get_rep_chan_;  // AM channels
   std::vector<std::unordered_map<std::uint64_t, PendingGet>> pending_gets_;  // [reader]
   std::vector<std::uint64_t> token_seq_;                                     // [reader]
 };

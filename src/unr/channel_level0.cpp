@@ -12,7 +12,7 @@ namespace {
 
 class Level0Channel final : public Channel {
  public:
-  explicit Level0Channel(Unr& ctx) : Channel(ctx) { register_companion_handler(); }
+  explicit Level0Channel(Unr& ctx) : Channel(ctx) { open_companion_channel(); }
 
   const char* name() const override { return "level0"; }
   SupportLevel level() const override { return SupportLevel::kLevel0; }

@@ -17,7 +17,7 @@ class NativeChannel final : public Channel {
  public:
   explicit NativeChannel(Unr& ctx) : Channel(ctx), pers_(ctx.fabric().iface()) {
     level_ = classify(pers_);
-    register_companion_handler();
+    open_companion_channel();
   }
 
   const char* name() const override { return "native"; }

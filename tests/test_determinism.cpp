@@ -284,6 +284,27 @@ TEST(Determinism, TrafficPatternsPinned) {
   }
 }
 
+// Regression pin: a 256-node, 2-round ring allreduce (perfbench's ring
+// shape at its pin seed, one round longer). Its second round matches
+// receives against unexpected messages while eager arrivals keep landing,
+// which once erased a stale deque iterator in Comm::irecv.
+TEST(Determinism, RingAllreduce256NodesTwoRoundsPinned) {
+  scenarios::TrafficParams p;
+  p.seed = 1;
+  p.nodes = 256;
+  p.ranks_per_node = 1;
+  p.size = 2048;
+  p.rounds = 2;
+  const check::WorkloadSpec spec = scenarios::ai_ring_allreduce(p);
+  check::RunOptions opt;
+  opt.shards = 1;  // pins are defined by the single-shard kernel
+  const check::RunResult r = check::run_workload(spec, opt);
+  ASSERT_TRUE(r.ok) << (r.violations.empty() ? "" : r.violations.front());
+  EXPECT_EQ(r.events, 2365176u);
+  EXPECT_EQ(r.end_time, 4206913);
+  EXPECT_EQ(r.digest, 0xbebd5d83e02715e8ull) << "digest 0x" << std::hex << r.digest;
+}
+
 // Digest invariance across shard counts for every traffic pattern, at a
 // 4-node topology so K=4 is real sharding, not a clamp.
 TEST(Determinism, TrafficShardCountPreservesDigest) {

@@ -409,8 +409,9 @@ TEST(Fabric, OrderedTrafficIsFifoPerPair) {
   Kernel k;
   Fabric f(k, cfg);
   std::vector<int> arrivals;
+  const int chan = f.open_am_channel();
   for (int r = 0; r < 2; ++r)
-    f.set_am_handler(r, 42, [&](int, const std::vector<std::byte>& p) {
+    f.set_am_handler(r, chan, [&](int, const std::vector<std::byte>& p) {
       arrivals.push_back(static_cast<int>(std::to_integer<unsigned char>(p[0])));
     });
   k.run(2, [&](int id) {
@@ -419,11 +420,43 @@ TEST(Fabric, OrderedTrafficIsFifoPerPair) {
       return;
     }
     for (int i = 0; i < 32; ++i)
-      f.send_am(0, 1, 42, {static_cast<std::byte>(i)}, -1, /*ordered=*/true);
+      f.send_am(0, 1, chan, {static_cast<std::byte>(i)}, -1, /*ordered=*/true);
     Kernel::current()->sleep_for(1 * kMs);
   });
   ASSERT_EQ(arrivals.size(), 32u);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(arrivals[static_cast<std::size_t>(i)], i);
+}
+
+TEST(Fabric, AmChannelsAreDenseAndMustBeOpened) {
+  Kernel k;
+  Fabric f(k, two_node_cfg());
+  const auto noop = [](int, const std::vector<std::byte>&) {};
+  EXPECT_THROW(f.set_am_handler(0, 0, noop), std::logic_error);
+  EXPECT_THROW(f.send_am(0, 1, 0, {std::byte{1}}), std::logic_error);
+  EXPECT_EQ(f.open_am_channel(), 0);
+  EXPECT_EQ(f.open_am_channel(), 1);
+  for (const int unopened : {-1, 2}) {
+    EXPECT_THROW(f.set_am_handler(0, unopened, noop), std::logic_error);
+    EXPECT_THROW(f.send_am(0, 1, unopened, {std::byte{1}}), std::logic_error);
+  }
+  EXPECT_NO_THROW(f.set_am_handler(0, 1, noop));
+}
+
+TEST(Fabric, SecondAmHandlerOnOneRankAndChannelFailsLoudly) {
+  Kernel k;
+  Fabric f(k, two_node_cfg());
+  const int chan = f.open_am_channel();
+  int first = 0;
+  f.set_am_handler(1, chan, [&](int, const std::vector<std::byte>&) { first++; });
+  EXPECT_THROW(f.set_am_handler(1, chan, [](int, const std::vector<std::byte>&) {}),
+               std::logic_error);
+  // Other ranks and other channels stay free; the first handler stays put.
+  EXPECT_NO_THROW(f.set_am_handler(0, chan, [](int, const std::vector<std::byte>&) {}));
+  k.run(1, [&](int) {
+    f.send_am(0, 1, chan, {std::byte{1}});
+    Kernel::current()->sleep_for(1 * kMs);
+  });
+  EXPECT_EQ(first, 1);
 }
 
 TEST(Fabric, TwoNicsDoubleEffectiveBandwidth) {

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numbers>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,11 +49,16 @@ double coord_tag(std::size_t i, std::size_t jg, std::size_t kg, int field) {
          1000000.0 * static_cast<double>(kg) + 1e9 * field;
 }
 
+// gtest prints a parameter that has no printer as its raw bytes, and ctest
+// takes that text into the test's name. The label is therefore held inline
+// rather than as a pointer, and the struct has no padding, so every name is
+// the same from build to build.
 struct BackendCase {
-  const char* label;
+  char label[12];
   CommBackend backend;
   int pr, pc;
 };
+static_assert(std::has_unique_object_representations_v<BackendCase>);
 
 class HaloP : public ::testing::TestWithParam<BackendCase> {};
 

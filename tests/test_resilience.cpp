@@ -190,7 +190,8 @@ TEST(Resilience, OrderedCompanionNeverOvertakesDataUnderDropsAndDelays) {
   std::vector<std::byte> dst(kIters * kMsg, std::byte{0});
   const MrId mr = f.memory().register_region(1, dst.data(), dst.size());
   int notified = 0;
-  f.set_am_handler(1, 7, [&](int, const std::vector<std::byte>& p) {
+  const int chan = f.open_am_channel();
+  f.set_am_handler(1, chan, [&](int, const std::vector<std::byte>& p) {
     int i = -1;
     ASSERT_EQ(p.size(), sizeof i);
     std::memcpy(&i, p.data(), sizeof i);
@@ -217,7 +218,7 @@ TEST(Resilience, OrderedCompanionNeverOvertakesDataUnderDropsAndDelays) {
       f.put(std::move(a));
       std::vector<std::byte> payload(sizeof i);
       std::memcpy(payload.data(), &i, sizeof i);
-      f.send_am(0, 1, 7, std::move(payload), -1, /*ordered=*/true);
+      f.send_am(0, 1, chan, std::move(payload), -1, /*ordered=*/true);
     }
     Kernel::current()->sleep_for(100 * kMs);
   });
@@ -239,7 +240,8 @@ TEST(Resilience, OrderedCompanionSurvivesMidFlightNicDeath) {
   for (std::size_t i = 0; i < msg; ++i) src[i] = static_cast<std::byte>(i % 251);
   const MrId mr = f.memory().register_region(1, dst.data(), dst.size());
   bool notified = false;
-  f.set_am_handler(1, 7, [&](int, const std::vector<std::byte>&) {
+  const int chan = f.open_am_channel();
+  f.set_am_handler(1, chan, [&](int, const std::vector<std::byte>&) {
     EXPECT_EQ(std::memcmp(src.data(), dst.data(), msg), 0)
         << "companion overtook the data lost to the NIC failure";
     notified = true;
@@ -257,7 +259,7 @@ TEST(Resilience, OrderedCompanionSurvivesMidFlightNicDeath) {
     a.nic_index = 0;
     a.ordered = true;
     f.put(std::move(a));
-    f.send_am(0, 1, 7, std::vector<std::byte>(8), /*nic_index=*/0, /*ordered=*/true);
+    f.send_am(0, 1, chan, std::vector<std::byte>(8), /*nic_index=*/0, /*ordered=*/true);
     Kernel::current()->sleep_for(10 * kMs);
   });
   EXPECT_TRUE(notified);
@@ -278,7 +280,8 @@ TEST(Resilience, OrderedStreamStaysFifoAcrossNicDeathFailover) {
   Kernel k;
   Fabric f(k, cfg);
   std::vector<int> order;
-  f.set_am_handler(1, 7, [&](int, const std::vector<std::byte>& p) {
+  const int chan = f.open_am_channel();
+  f.set_am_handler(1, chan, [&](int, const std::vector<std::byte>& p) {
     order.push_back(static_cast<int>(std::to_integer<unsigned char>(p[0])));
   });
   k.run(2, [&](int id) {
@@ -287,10 +290,10 @@ TEST(Resilience, OrderedStreamStaysFifoAcrossNicDeathFailover) {
       return;
     }
     // Long serialization: still in tx at the 5us death, lost with the NIC.
-    f.send_am(0, 1, 7, std::vector<std::byte>(1 * MiB, std::byte{1}),
+    f.send_am(0, 1, chan, std::vector<std::byte>(1 * MiB, std::byte{1}),
               /*nic_index=*/0, /*ordered=*/true);
     Kernel::current()->sleep_for(10 * kUs);  // NIC 0 is dead by now
-    f.send_am(0, 1, 7, std::vector<std::byte>(8, std::byte{2}),
+    f.send_am(0, 1, chan, std::vector<std::byte>(8, std::byte{2}),
               /*nic_index=*/0, /*ordered=*/true);
     Kernel::current()->sleep_for(10 * kMs);
   });
@@ -310,14 +313,15 @@ TEST(Resilience, AmRetransmissionConsumesNicBandwidth) {
   Kernel k;
   Fabric f(k, cfg);
   int delivered = 0;
-  f.set_am_handler(1, 3, [&](int, const std::vector<std::byte>&) { delivered++; });
+  const int chan = f.open_am_channel();
+  f.set_am_handler(1, chan, [&](int, const std::vector<std::byte>&) { delivered++; });
   k.run(2, [&](int id) {
     if (id != 0) {
       Kernel::current()->sleep_for(10 * kMs);
       return;
     }
     for (int i = 0; i < 200; ++i)
-      f.send_am(0, 1, 3, std::vector<std::byte>(16), -1, /*ordered=*/false);
+      f.send_am(0, 1, chan, std::vector<std::byte>(16), -1, /*ordered=*/false);
     Kernel::current()->sleep_for(10 * kMs);
   });
   EXPECT_EQ(delivered, 200);

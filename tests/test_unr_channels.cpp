@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "runtime/window.hpp"
 #include "runtime/world.hpp"
 #include "unr/unr.hpp"
 
@@ -72,10 +73,15 @@ TEST(WireEncoding, RejectsWhatDoesNotFit) {
 
 // Notified put must work identically through every channel kind; what
 // changes is the transport mechanics, not the observable semantics.
+//
+// gtest prints the case as raw bytes and ctest takes them into the test's
+// name. The kind leads, so each name starts with bytes that are the same on
+// every build; the label pointer and the profile's strings after it change
+// with address-space randomisation.
 struct ChannelCase {
+  ChannelKind kind;
   const char* label;
   unr::SystemProfile profile;
-  ChannelKind kind;
 };
 
 class ChannelSemantics : public ::testing::TestWithParam<ChannelCase> {};
@@ -157,13 +163,80 @@ TEST_P(ChannelSemantics, NotifiedGetEndToEnd) {
 INSTANTIATE_TEST_SUITE_P(
     AllChannels, ChannelSemantics,
     ::testing::Values(
-        ChannelCase{"glex_native_level3", unr::make_th_xy(), ChannelKind::kNative},
-        ChannelCase{"verbs_native_level2", unr::make_hpc_ib(), ChannelKind::kNative},
-        ChannelCase{"glex_level0", unr::make_th_xy(), ChannelKind::kLevel0},
-        ChannelCase{"glex_level4_hw", unr::make_th_xy(), ChannelKind::kLevel4},
-        ChannelCase{"fallback_on_ib", unr::make_hpc_ib(), ChannelKind::kMpiFallback},
-        ChannelCase{"fallback_on_th2a", unr::make_th_2a(), ChannelKind::kMpiFallback}),
+        ChannelCase{ChannelKind::kNative, "glex_native_level3", unr::make_th_xy()},
+        ChannelCase{ChannelKind::kNative, "verbs_native_level2", unr::make_hpc_ib()},
+        ChannelCase{ChannelKind::kLevel0, "glex_level0", unr::make_th_xy()},
+        ChannelCase{ChannelKind::kLevel4, "glex_level4_hw", unr::make_th_xy()},
+        ChannelCase{ChannelKind::kMpiFallback, "fallback_on_ib", unr::make_hpc_ib()},
+        ChannelCase{ChannelKind::kMpiFallback, "fallback_on_th2a", unr::make_th_2a()}),
     [](const ::testing::TestParamInfo<ChannelCase>& i) { return i.param.label; });
+
+// Windows and UNR channels each open their own AM channels, so a companion
+// or fallback channel keeps working however many windows share the World:
+// a notified put and a Lock/unlock epoch on the last of 12 windows complete.
+class ManyWindows : public ::testing::TestWithParam<ChannelKind> {};
+
+TEST_P(ManyWindows, NotifiedPutAndLockEpochOnLastWindow) {
+  World::Config wc;
+  wc.nodes = 2;
+  wc.ranks_per_node = 1;
+  wc.profile = unr::make_th_xy();
+  wc.deterministic_routing = true;
+  World w(wc);
+  Unr::Config uc;
+  uc.channel = GetParam();
+  Unr unr(w, uc);
+
+  constexpr int kWindows = 12;
+  constexpr std::size_t n = 64;
+  bool data_ok = false;
+  double locked_seen = 0.0;
+  w.run([&](Rank& r) {
+    std::vector<std::vector<double>> expo(kWindows, std::vector<double>(2, 0.0));
+    std::vector<std::shared_ptr<runtime::Window>> wins;
+    for (auto& e : expo)
+      wins.push_back(
+          runtime::Window::create(r.comm(), r.id(), e.data(), e.size() * sizeof(double)));
+    runtime::Window& last = *wins.back();
+
+    std::vector<std::uint32_t> buf(n);
+    const MemHandle mh = unr.mem_reg(r.id(), buf.data(), n * sizeof(std::uint32_t));
+    if (r.id() == 0) {
+      for (std::size_t i = 0; i < n; ++i) buf[i] = static_cast<std::uint32_t>(3 * i + 1);
+      Blk rmt;
+      r.recv(1, 1, &rmt, sizeof rmt);
+      const SigId ssig = unr.sig_init(0, 1);
+      unr.put(0, unr.blk_init(0, mh, 0, n * sizeof(std::uint32_t), ssig), rmt);
+      last.lock(0, 1);
+      const double v = 4.5;
+      last.put(0, 1, sizeof(double), &v, sizeof v);
+      last.unlock(0, 1);
+      unr.sig_wait(0, ssig);
+      char tok = 1;
+      r.send(1, 2, &tok, 1);
+    } else {
+      const SigId rsig = unr.sig_init(1, 1);
+      const Blk rblk = unr.blk_init(1, mh, 0, n * sizeof(std::uint32_t), rsig);
+      r.send(0, 1, &rblk, sizeof rblk);
+      unr.sig_wait(1, rsig);
+      data_ok = true;
+      for (std::size_t i = 0; i < n; ++i)
+        if (buf[i] != 3 * i + 1) data_ok = false;
+      char tok;
+      r.recv(0, 2, &tok, 1);
+      locked_seen = expo.back()[1];
+    }
+  });
+  EXPECT_TRUE(data_ok);
+  EXPECT_EQ(locked_seen, 4.5);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Channels, ManyWindows,
+    ::testing::Values(ChannelKind::kLevel0, ChannelKind::kMpiFallback),
+    [](const ::testing::TestParamInfo<ChannelKind>& i) {
+      return i.param == ChannelKind::kLevel0 ? "level0" : "fallback";
+    });
 
 unr::SystemProfile utofu_like_profile() {
   // A level-1 system: uTofu personality on otherwise IB-like hardware.
